@@ -56,8 +56,9 @@ def _metrics_backend(payload: dict) -> dict:
         if not entry.get("gated", True):
             continue
         instance = entry["instance"]
-        for arm in ("generic_join", "leapfrog"):
-            metrics[f"backend.{instance}.{arm}.speedup"] = entry[arm]["speedup"]
+        for arm in ("generic_join", "leapfrog", "dasubw"):
+            if arm in entry:
+                metrics[f"backend.{instance}.{arm}.speedup"] = entry[arm]["speedup"]
     return metrics
 
 

@@ -325,10 +325,10 @@ def _panda_shard(sliced: list[Relation], order: tuple[str, ...], extra: dict):
     db_relations = []
     for i, (relation, variables) in enumerate(zip(sliced, extra["atom_vars"])):
         atom_name = f"{relation.name}__{i}"
-        positions = tuple(relation.schema.index(v) for v in variables)
-        rows = [tuple(row[p] for p in positions) for row in relation.code_rows]
         db_relations.append(
-            Relation.from_codes(atom_name, variables, rows, distinct=True)
+            Relation.from_columns(
+                atom_name, variables, relation.column_set(variables).columns
+            )
         )
         atoms.append(Atom(atom_name, variables))
     if extra["boolean"]:

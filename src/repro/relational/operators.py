@@ -8,9 +8,20 @@ integer code columns of :mod:`repro.relational.columns`:
 * projections and partitions are run scans over a column set sorted with the
   kept/grouping attributes first;
 * the natural join is a sort-merge join on the shared-attribute prefix;
-* the semijoin probes the right side's cached distinct-key set;
-* union/difference are set algebra on code tuples (shared dictionaries make
-  codes directly comparable across relations).
+* the semijoin matches each left row's shared-attribute codes against the
+  right side's distinct keys;
+* union sorts both sides' rows under the left schema and keeps one row per
+  run of equal rows; difference filters code tuples through a set (shared
+  dictionaries make codes directly comparable across relations).
+
+Under the vectorized backend (:mod:`repro.relational.backend`), inputs of at
+least :data:`_VEC_MIN_ROWS` rows run on numpy blocks of the code columns:
+projection, the single-key join, the semijoin (any number of shared
+attributes folded into one composite int64 key per row, probed with
+``searchsorted``), union (composite-key sort and a run-boundary mask), and
+the Lemma 6.1 partition (run boundaries, integer log-degree buckets, and
+index gathers).  Outputs and work charges equal the row paths' exactly;
+the row paths remain the stdlib-only engine and the reference.
 
 Every operator counts the tuple-level work it performs into the *current*
 :class:`WorkCounter`, so benchmarks can report machine-independent work
@@ -32,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.exceptions import SchemaError
@@ -68,14 +79,12 @@ class WorkCounter:
     tuples_emitted: int = 0
     joins: int = 0
     partitions: int = 0
-    history: list = field(default_factory=list)
 
     def reset(self) -> None:
         self.tuples_scanned = 0
         self.tuples_emitted = 0
         self.joins = 0
         self.partitions = 0
-        self.history.clear()
 
     @property
     def total(self) -> int:
@@ -191,17 +200,12 @@ def project(relation: Relation, attrs: Iterable[str], name: str | None = None) -
         and column_set.nrows >= _VEC_MIN_ROWS
         and current_backend() == "vectorized"
     ):
-        # Run starts as one boolean change mask over the sorted columns;
-        # the distinct rows gather straight into output columns.
-        import numpy as np
-
-        from repro.relational.vectorized import np_to_column
+        # The distinct rows are the run starts of the sorted columns; they
+        # gather straight into output columns.
+        from repro.relational.vectorized import np_to_column, run_starts
 
         cols = column_set.np_columns()
-        keep = np.zeros(column_set.nrows, dtype=bool)
-        keep[0] = True
-        for col in cols:
-            keep[1:] |= col[1:] != col[:-1]
+        keep = run_starts(cols, column_set.nrows)
         out_cols = tuple(np_to_column(col[keep]) for col in cols)
         counter.tuples_scanned += len(relation)
         counter.tuples_emitted += len(out_cols[0])
@@ -326,7 +330,7 @@ def _np_merge_join(left_set, right_set, left_order, right_order, out_schema):
     """
     import numpy as np
 
-    from repro.relational.vectorized import np_to_column, sorted_unique
+    from repro.relational.vectorized import lex_order, np_to_column, sorted_unique
 
     left_cols = left_set.np_columns()
     right_cols = right_set.np_columns()
@@ -364,39 +368,49 @@ def _np_merge_join(left_set, right_set, left_order, right_order, out_schema):
             columns.append(left_cols[left_order.index(attr)][left_index])
         else:
             columns.append(right_cols[right_order.index(attr)][right_index])
-    order = np.lexsort(tuple(reversed(columns)))
+    order = lex_order(columns)
     return tuple(np_to_column(column[order]) for column in columns)
 
 
 def semijoin(left: Relation, right: Relation, name: str | None = None) -> Relation:
     """``left ⋉ right``: the left tuples with a join partner in right.
 
-    Probes the right side's cached distinct-key set with code tuples; the
-    left side streams in canonical order, so the output is pre-sorted.
+    The left side streams in canonical order, so the output is pre-sorted.
+    Under the vectorized backend every shared attribute set folds into one
+    composite int64 key per row, and the left keys probe the right side's
+    sorted distinct keys with one ``searchsorted``; the interpreted path
+    probes the right side's cached distinct-key set with code tuples.
     """
     shared = tuple(sorted(left.attributes & right.attributes))
-    keys = right.key_set(shared)
-    positions = tuple(left.position(a) for a in shared)
     counter = _counter_var.get()
     if (
-        len(shared) == 1
-        and len(left) >= _VEC_MIN_ROWS
+        shared
+        and len(left) + len(right) >= _VEC_MIN_ROWS
         and current_backend() == "vectorized"
     ):
         import numpy as np
 
-        from repro.relational.vectorized import membership_mask, np_to_column
-
-        left_set = left.column_set(left.schema)
-        right_key = right.column_set(shared).np_columns()[0]
-        probe = left_set.np_columns()[positions[0]]
-        mask = membership_mask(probe, right_key)
-        counter.tuples_scanned += left_set.nrows
-        counter.tuples_emitted += int(mask.sum())
-        columns = tuple(
-            np_to_column(np.asarray(col)[mask]) for col in left_set.np_columns()
+        from repro.relational.vectorized import (
+            composite_keys,
+            membership_mask,
+            np_to_column,
         )
+
+        left_cols = left.column_set(left.schema).np_columns()
+        right_cols = right.column_set(right.schema).np_columns()
+        left_key, right_key = composite_keys(
+            (
+                tuple(left_cols[left.position(a)] for a in shared),
+                tuple(right_cols[right.position(a)] for a in shared),
+            )
+        )
+        mask = membership_mask(left_key, np.unique(right_key))
+        counter.tuples_scanned += len(left_key)
+        counter.tuples_emitted += int(mask.sum())
+        columns = tuple(np_to_column(col[mask]) for col in left_cols)
         return Relation.from_columns(name or left.name, left.schema, columns)
+    keys = right.key_set(shared)
+    positions = tuple(left.position(a) for a in shared)
     out_rows = []
     for row in left.code_rows:
         counter.tuples_scanned += 1
@@ -412,7 +426,10 @@ def union(left: Relation, right: Relation, name: str | None = None) -> Relation:
     """Set union of two relations over the same attribute set.
 
     Schemas may order attributes differently; the left order wins.  Shared
-    dictionaries let the realignment work purely on code tuples.
+    dictionaries let the realignment work purely on codes.  Under the
+    vectorized backend the realigned columns are concatenated, lex-sorted
+    and deduplicated by a run-boundary mask; the interpreted path is a set
+    union of code tuples.
     """
     if left.attributes != right.attributes:
         raise SchemaError(
@@ -421,13 +438,38 @@ def union(left: Relation, right: Relation, name: str | None = None) -> Relation:
     positions = tuple(right.position(a) for a in left.schema)
     counter = _counter_var.get()
     counter.tuples_scanned += len(left) + len(right)
+    name = name or f"({left.name}∪{right.name})"
+    if (
+        left.schema
+        and len(left) + len(right) >= _VEC_MIN_ROWS
+        and current_backend() == "vectorized"
+    ):
+        import numpy as np
+
+        from repro.relational.vectorized import (
+            composite_keys,
+            np_to_column,
+            run_starts,
+        )
+
+        left_cols = left.column_set(left.schema).np_columns()
+        right_cols = right.column_set(right.schema).np_columns()
+        columns = [
+            np.concatenate((left_col, right_cols[p]))
+            for left_col, p in zip(left_cols, positions)
+        ]
+        # Sort by composite row key; equal rows are adjacent equal keys.
+        keys = composite_keys((columns,))[0]
+        order = np.argsort(keys, kind="stable")
+        order = order[run_starts((keys[order],), len(order))]
+        counter.tuples_emitted += len(order)
+        return Relation.from_columns(
+            name, left.schema, tuple(np_to_column(col[order]) for col in columns)
+        )
     rows = set(left.code_rows)
     rows.update(tuple(row[p] for p in positions) for row in right.code_rows)
     counter.tuples_emitted += len(rows)
-    return Relation.from_codes(
-        name or f"({left.name}∪{right.name})", left.schema, list(rows),
-        distinct=True,
-    )
+    return Relation.from_codes(name, left.schema, list(rows), distinct=True)
 
 
 def difference(left: Relation, right: Relation, name: str | None = None) -> Relation:
@@ -487,12 +529,30 @@ def heavy_light_partition(
     if total == 0:
         return []
 
-    k = len(x_attrs)
     order = x_attrs + tuple(a for a in relation.schema if a not in x_attrs)
-    rows = relation.column_set(order).rows
-    inverse = tuple(order.index(a) for a in relation.schema)
+    column_set = relation.column_set(order)
     counter = _counter_var.get()
-    counter.tuples_scanned += len(rows)
+    counter.tuples_scanned += total
+    # Bucket halving sorts by decoded x-*values*, not codes: codes order by
+    # process-global first-appearance, so splitting on them would make the
+    # partition (and every PANDA run built on it) depend on interning
+    # history rather than on the relation's contents.
+    x_dicts = tuple(relation.dictionaries[relation.position(a)] for a in x_attrs)
+    if total >= _VEC_MIN_ROWS and current_backend() == "vectorized":
+        pieces = _np_partition(relation, column_set, x_dicts, counter)
+    else:
+        pieces = _row_partition(relation, column_set, x_dicts, counter)
+    counter.partitions += 1
+    return pieces
+
+
+def _row_partition(relation, column_set, x_dicts, counter):
+    """The interpreted Lemma 6.1 partition over code-row tuples."""
+    k = len(x_dicts)
+    order = column_set.attrs
+    rows = column_set.rows
+    inverse = tuple(order.index(a) for a in relation.schema)
+    total = len(rows)
 
     # X-groups = runs of the X-prefix; rows realigned back to schema layout.
     groups: list[tuple[tuple, list[tuple]]] = []
@@ -514,17 +574,10 @@ def heavy_light_partition(
             (key, group_rows)
         )
 
-    # Bucket halving sorts by decoded x-*values*, not codes: codes order by
-    # process-global first-appearance, so splitting on them would make the
-    # partition (and every PANDA run built on it) depend on interning
-    # history rather than on the relation's contents.
-    x_dicts = tuple(relation.dictionaries[relation.position(a)] for a in x_attrs)
-
     def decoded_x(entry: tuple) -> tuple:
         return decode_row(x_dicts, entry[0])
 
     pieces: list[PartitionPiece] = []
-    piece_count = 0
     for j in sorted(buckets):
         # Each entry in the stack is a list of (x_key, rows) pairs sharing
         # log-degree bucket j; halve until the Lemma 6.1 product bound holds.
@@ -541,13 +594,80 @@ def heavy_light_partition(
                 continue
             all_rows = [row for _, group_rows in entries for row in group_rows]
             counter.tuples_emitted += len(all_rows)
-            piece_count += 1
             piece = Relation.from_codes(
-                f"{relation.name}[{piece_count}]",
+                f"{relation.name}[{len(pieces) + 1}]",
                 relation.schema,
                 all_rows,
                 distinct=True,
             )
             pieces.append(PartitionPiece(piece, x_count, y_degree))
-    counter.partitions += 1
+    return pieces
+
+
+def _np_partition(relation, column_set, x_dicts, counter):
+    """:func:`heavy_light_partition` on numpy blocks, piece for piece.
+
+    The ``X``-groups are the run starts of the ``X``-prefix columns; a
+    group's log-degree bucket is its size's bit length minus one, computed
+    by integer shifts.  Buckets are halved exactly as in the row path
+    (decoded-value order, upper half emitted first), and each piece
+    gathers its groups' row ranges by index and leaves columnar.
+    """
+    import numpy as np
+
+    from repro.relational.vectorized import lex_order, np_to_column, run_starts
+
+    k = len(x_dicts)
+    total = column_set.nrows
+    cols = column_set.np_columns()
+    starts = run_starts(cols[:k], total)
+    sizes = np.diff(np.append(starts, total))
+    buckets = np.zeros(len(sizes), dtype=np.int64)
+    rest = sizes.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        wide = rest >= 1 << shift
+        rest[wide] >>= shift
+        buckets[wide] += shift
+    inverse = tuple(column_set.attrs.index(a) for a in relation.schema)
+    schema_cols = [cols[p] for p in inverse]
+
+    def decoded_order(entries):
+        x_codes = [col[starts[entries]].tolist() for col in cols[:k]]
+        keys = list(
+            zip(*(
+                [d.values[c] for c in codes] for d, codes in zip(x_dicts, x_codes)
+            ))
+        )
+        return entries[sorted(range(len(keys)), key=keys.__getitem__)]
+
+    pieces: list[PartitionPiece] = []
+    for j in np.unique(buckets).tolist():
+        # Stack entries: (group indices of bucket j, already value-sorted).
+        stack = [(np.flatnonzero(buckets == j), False)]
+        while stack:
+            entries, value_sorted = stack.pop()
+            x_count = len(entries)
+            y_degree = int(sizes[entries].max())
+            if x_count * y_degree > total and x_count > 1:
+                if not value_sorted:
+                    entries = decoded_order(entries)
+                half = x_count // 2
+                stack.append((entries[:half], True))
+                stack.append((entries[half:], True))
+                continue
+            lengths = sizes[entries]
+            count = int(lengths.sum())
+            offsets = np.cumsum(lengths) - lengths
+            index = np.arange(count, dtype=np.int64) + np.repeat(
+                starts[entries] - offsets, lengths
+            )
+            piece_cols = [col[index] for col in schema_cols]
+            ordering = lex_order(piece_cols)
+            counter.tuples_emitted += count
+            piece = Relation.from_columns(
+                f"{relation.name}[{len(pieces) + 1}]",
+                relation.schema,
+                tuple(np_to_column(col[ordering]) for col in piece_cols),
+            )
+            pieces.append(PartitionPiece(piece, x_count, y_degree))
     return pieces

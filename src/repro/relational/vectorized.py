@@ -55,22 +55,78 @@ from repro.relational.operators import current_counter
 from repro.relational.relation import Relation
 
 __all__ = [
+    "composite_keys",
+    "lex_order",
     "membership_mask",
     "np_to_column",
+    "run_starts",
     "sorted_unique",
     "vectorized_execute_join",
 ]
 
 
+def run_starts(columns, nrows: int):
+    """Indices where a row of the sorted ``columns`` differs from its
+    predecessor (row 0 always starts a run); ``nrows`` must be positive."""
+    change = np.zeros(nrows, dtype=bool)
+    change[0] = True
+    for col in columns:
+        change[1:] |= col[1:] != col[:-1]
+    return np.flatnonzero(change)
+
+
 def sorted_unique(block):
-    """Distinct values of an already-sorted array (run-boundary mask)."""
-    n = len(block)
-    if n == 0:
+    """Distinct values of an already-sorted array."""
+    if len(block) == 0:
         return block
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(block[1:], block[:-1], out=keep[1:])
-    return block[keep]
+    return block[run_starts((block,), len(block))]
+
+
+def _dense_rank(values):
+    """Order-preserving ranks ``0..distinct-1`` of an int64 array."""
+    return np.unique(values, return_inverse=True)[1].astype(np.int64, copy=False)
+
+
+def composite_keys(blocks):
+    """One int64 key per row of each block of aligned code columns.
+
+    ``blocks`` is a sequence of column tuples, all with the same number
+    ``k >= 1`` of columns of non-negative codes (the same attributes, in
+    the same order).  Two rows — in the same block or in different ones — get equal
+    keys exactly when their code tuples are equal, and keys ascend with
+    the rows' lexicographic order, so a ``k``-attribute probe becomes one
+    flat ``searchsorted``.  Keys are mixed-radix numbers ``key·base +
+    code`` with each column's code range as its base; before a step that
+    could overflow int64 the partial key (and, if still needed, the
+    column) is first compressed to its dense rank, which keeps the order.
+    """
+    sizes = [len(block[0]) for block in blocks]
+    key = None
+    for position in range(len(blocks[0])):
+        column = np.concatenate([block[position] for block in blocks])
+        if key is None:
+            key = column.astype(np.int64, copy=False)
+            continue
+        if not len(column):
+            break
+        base = int(column.max()) + 1
+        if (int(key.max()) + 1) * base > 1 << 63:
+            key = _dense_rank(key)
+            if (int(key.max()) + 1) * base > 1 << 63:
+                column = _dense_rank(column)
+                base = int(column.max()) + 1
+        key = key * base + column
+    return np.split(key, np.cumsum(sizes)[:-1])
+
+
+def lex_order(columns):
+    """The permutation sorting the rows of aligned ``columns`` lexicographically.
+
+    One stable sort of the rows' composite keys — several times cheaper
+    than ``np.lexsort`` over the columns, and near-linear when the input
+    is a concatenation of already-sorted runs (timsort merges them).
+    """
+    return np.argsort(composite_keys((columns,))[0], kind="stable")
 
 
 def np_to_column(values) -> array:
